@@ -1117,9 +1117,11 @@ def _q_fingerprints(sf_dir: str):
 
 def _q_ann_topk(sf_dir: str):
     """Exact cosine top-10 membership per query — oracle-checked against
-    DuckDB ``list_cosine_similarity`` (the float32 engine scores
-    themselves are pinned against a numpy oracle in tests/test_ann.py;
-    they can't hash-match a float64 SQL engine bit-for-bit)."""
+    DuckDB ``list_cosine_similarity`` (the engine accumulates each score
+    in float64 and rounds it to float32; those scores are pinned against
+    a numpy oracle in tests/test_ann.py, but a float32 score can't
+    hash-match a float64 SQL engine bit-for-bit, so only the ids are
+    compared)."""
     from bloomjoin_ray.pipelines.ann import ann_topk
     import pyarrow.parquet as pq
 

@@ -18,12 +18,14 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..stages.ann_stages import BruteForceTopK, LshBucketStage, _normalize, embeddings_to_matrix
+from ..stages.ann_stages import (BruteForceTopK, LshBucketStage, _cosine_scores,
+                                 _normalize, embeddings_to_matrix)
 
 # knn_join cell reduce: cap on transient score-matrix elements per matmul
-# chunk (~16 MB float32) — a hot LSH cell (duplicate-heavy / low-entropy
-# corpus) is processed in bounded query-side slices instead of one
-# |Q_cell| × |C_cell| cross product. Tests shrink this to force chunking.
+# chunk (~32 MB as _cosine_scores' float64 accumulator) — a hot LSH cell
+# (duplicate-heavy / low-entropy corpus) is processed in bounded
+# query-side slices instead of one |Q_cell| × |C_cell| cross product.
+# Tests shrink this to force chunking.
 _CELL_CHUNK_ELEMS = 1 << 22
 
 
@@ -239,7 +241,7 @@ def lsh_ann_topk(ds, queries: np.ndarray, k: int = 10, *,
             m = sub_buckets == bk
             if not m.any():
                 continue
-            sims = V[m] @ qm[qis].T
+            sims = _cosine_scores(V[m], qm[qis])
             for col, qi in enumerate(qis):
                 out_q.append(np.full(int(m.sum()), qi, dtype=np.int64))
                 out_i.append(ids[m])
@@ -250,7 +252,7 @@ def lsh_ann_topk(ds, queries: np.ndarray, k: int = 10, *,
                              "score": pa.array([], type=pa.float32())})
         qarr = np.concatenate(out_q)
         iarr = np.concatenate(out_i)
-        sarr = np.concatenate(out_s).astype(np.float32)
+        sarr = np.concatenate(out_s)
         # per-block local top-k: candidate volume leaving each block is
         # bounded by k × nq regardless of bucket occupancy
         keep = _topk_per_query_idx(qarr, iarr, sarr, k)
@@ -385,7 +387,7 @@ def ivf_ann_topk(ds, queries: np.ndarray, k: int = 10, *,
             m = cells == cell
             if not m.any():
                 continue
-            sims = V[m] @ qm[qis].T
+            sims = _cosine_scores(V[m], qm[qis])
             for col, qi in enumerate(qis):
                 out_q.append(np.full(int(m.sum()), qi, dtype=np.int64))
                 out_i.append(ids[m])
@@ -396,7 +398,7 @@ def ivf_ann_topk(ds, queries: np.ndarray, k: int = 10, *,
                              "score": pa.array([], type=pa.float32())})
         qarr = np.concatenate(out_q)
         iarr = np.concatenate(out_i)
-        sarr = np.concatenate(out_s).astype(np.float32)
+        sarr = np.concatenate(out_s)
         keep = _topk_per_query_idx(qarr, iarr, sarr, k)  # per-block top-k
         return pa.table({"query_id": pa.array(qarr[keep].astype(np.int32)),
                          id_col: pa.array(iarr[keep]),
@@ -420,9 +422,14 @@ def knn_join(ds_corpus, ds_queries, k: int = 10, *,
 
     Both sides are LSH-bucketed with the SAME hyperplanes, co-partitioned
     by cell, and each cell runs one matmul + per-query top-k inside the
-    bucketed reduce — so with the same ``n_bits``/``seed`` the result is
-    identical to ``lsh_ann_topk`` (pinned in tests), but neither side is
-    ever materialized on the driver. Single-probe: a query only meets
+    bucketed reduce — so with the same ``n_bits``/``seed`` a query meets
+    the same candidates as in ``lsh_ann_topk``. Both paths score them
+    with ``_cosine_scores``, whose elements do not depend on how the
+    rows are sliced, so neither ``cell_chunk_elems`` nor bucket
+    occupancy can move a score, and ties break in the same
+    (score desc, id asc) order: the result is identical to
+    ``lsh_ann_topk`` (pinned in tests), but neither side is ever
+    materialized on the driver. Single-probe: a query only meets
     corpus vectors in its own cell (recall < 1 by design; lower
     ``n_bits`` for recall, raise it to bound cell sizes — the per-cell
     cost is |Q_cell| × |C_cell|). ``multiprobe=r`` additionally probes
@@ -534,14 +541,17 @@ def knn_join(ds_corpus, ds_queries, k: int = 10, *,
             # per-segment, query-chunked top-k: only ≤ |Q_chunk| × k rows
             # survive each matmul, so a hot cell costs bounded memory —
             # never the full |Q_cell| × |C_cell| cross product at once.
-            # Tie-break inside the chunk uses the SAME (score desc,
-            # corpus-id asc) order as _topk_per_query_idx, so results
-            # match lsh_ann_topk exactly on duplicate-heavy input.
+            # Results match lsh_ann_topk exactly, also on duplicate-heavy
+            # input, because both sides score through _cosine_scores: a
+            # score is the same whatever the chunk (even a 1-row one) or
+            # bucket occupancy, and ties then break in the same
+            # (score desc, corpus-id asc) order of _topk_per_query_idx.
             cid_seg = np.asarray(cids.take(pa.array(cpos)))
+            cmat = Mn[cpos].astype(np.float64)   # gathered once per segment
             step = max(1, cell_chunk_elems // len(cpos))
             for i in range(0, len(qpos), step):
                 qc = qpos[i:i + step]
-                sims = (Mn[qc] @ Mn[cpos].T).reshape(-1).astype(np.float32)
+                sims = _cosine_scores(Mn[qc], cmat).reshape(-1)
                 qa_c = np.repeat(qc, len(cpos))
                 keep = _topk_per_query_idx(
                     qa_c, np.tile(cid_seg, len(qc)), sims, k)

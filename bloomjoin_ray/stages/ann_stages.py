@@ -3,6 +3,9 @@
 The query matrix travels once (``ray.put``); each actor resolves and
 row-normalizes it in ``__init__`` (once per actor, not per batch) and then
 scores its Arrow blocks with one dense matmul per batch.
+
+Every cosine score in the ANN paths goes through ``_cosine_scores``, so a
+score does not depend on how the rows were sliced, chunked or bucketed.
 """
 
 from __future__ import annotations
@@ -35,6 +38,25 @@ def _normalize(m: np.ndarray) -> np.ndarray:
     return m / norms
 
 
+def _cosine_scores(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(n, d) × (m, d) row-normalized float32 → (n, m) float32 scores
+    (an operand may already be float64 holding float32 values; it is
+    then used without a copy).
+
+    Accumulated in float64 and rounded once to float32, so each element
+    is the same whatever the operands' shapes. A float32 matmul is not:
+    a 1-row operand dispatches to BLAS gemv instead of gemm, the two sum
+    in different orders, and results drift by an ulp — enough to flip
+    the rank of near-duplicate neighbours whose scores lie an ulp apart.
+    A product of two float32 values is exact in float64, and the
+    rounding error of a float64 sum of a few hundred terms is far below
+    half a float32 ulp, so the rounded score no longer depends on the
+    kernel or its summation order."""
+    A = np.asarray(A, dtype=np.float64)
+    B = np.asarray(B, dtype=np.float64)
+    return (A @ B.T).astype(np.float32)
+
+
 class BruteForceTopK:
     """map_batches actor: per block, cosine top-k of every query against
     the block's vectors; emits local candidates (query_id, id, score)."""
@@ -43,7 +65,7 @@ class BruteForceTopK:
         import ray
 
         q = ray.get(queries_ref)           # once per actor
-        self.Q = _normalize(np.asarray(q, dtype=np.float32)).T  # (d, nq)
+        self.Q = _normalize(np.asarray(q, dtype=np.float32))  # (nq, d)
         self.k = k
         self.id_col = id_col
         self.vec_col = vec_col
@@ -51,7 +73,7 @@ class BruteForceTopK:
     def __call__(self, batch: pa.Table) -> pa.Table:
         V = _normalize(embeddings_to_matrix(batch.column(self.vec_col)).astype(np.float32))
         ids = np.asarray(batch.column(self.id_col))
-        sims = V @ self.Q                   # (n, nq)
+        sims = _cosine_scores(V, self.Q)    # (n, nq)
         n, nq = sims.shape
         k = min(self.k, n)
         if k == 0:
@@ -64,7 +86,7 @@ class BruteForceTopK:
         return pa.table({
             "query_id": pa.array(qids),
             self.id_col: pa.array(ids[rows]),
-            "score": pa.array(sims[rows, qids].astype(np.float32)),
+            "score": pa.array(sims[rows, qids]),
         })
 
 

@@ -395,6 +395,29 @@ def test_knn_join_hot_cell_stays_bounded(ray_session):
     assert np.allclose(got["score"], want["score"], atol=1e-6)
 
 
+@pytest.mark.parametrize("dim", [8, 384])
+def test_cosine_scores_independent_of_slice_shape(dim):
+    """Every slice of the ANN scoring kernel — 1, 2 or 7 rows of either
+    operand — equals the same rows of the full product bit for bit. A
+    plain float32 matmul fails this (a 1-row operand runs BLAS gemv, not
+    gemm, and sums in another order), which is what let a chunked
+    knn_join drift from lsh_ann_topk on near-duplicate neighbours."""
+    from bloomjoin_ray.stages.ann_stages import _cosine_scores, _normalize
+
+    rng = np.random.default_rng(dim)
+    A = _normalize(rng.standard_normal((40, dim)).astype(np.float32))
+    B = _normalize(rng.standard_normal((90, dim)).astype(np.float32))
+    full = _cosine_scores(A, B)
+    assert full.dtype == np.float32 and full.shape == (40, 90)
+    for rows in (1, 2, 7):
+        for lo in range(0, 40 - rows + 1, rows):
+            np.testing.assert_array_equal(
+                _cosine_scores(A[lo:lo + rows], B), full[lo:lo + rows])
+        for lo in range(0, 90 - rows + 1, rows):
+            np.testing.assert_array_equal(
+                _cosine_scores(A, B[lo:lo + rows]), full[:, lo:lo + rows])
+
+
 def test_kmeans_fit_deterministic_and_normalized(emb):
     from bloomjoin_ray.pipelines.ann import kmeans_fit
 
